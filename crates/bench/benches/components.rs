@@ -4,14 +4,16 @@
 //! goes through the counting global allocator below, and
 //! `bench_sink_dispatch` asserts that the protocol callback hot path —
 //! a duplicate receipt pushed through a warm, reused [`ActionSink`] —
-//! performs zero allocations per event. The companion `vec_collect`
-//! benchmark measures the old return-a-`Vec<Action>` shape for
-//! comparison.
+//! performs zero allocations per event, and `bench_ad_copies` asserts
+//! the ad-copy budget: entry timers and gossip rounds allocate exactly
+//! once per broadcast they push, and an advertisement clone allocates
+//! once. The companion `vec_collect` benchmark measures the old
+//! return-a-`Vec<Action>` shape for comparison.
 
 use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion};
 use ia_core::{
-    build_protocol, postpone, prob, ActionSink, AdId, AdMessage, Advertisement, GossipParams,
-    PeerContext, PeerId, ProtocolKind, RxMeta, UserProfile,
+    build_protocol, postpone, prob, Action, ActionSink, AdId, AdMessage, Advertisement,
+    GossipParams, PeerContext, PeerId, Protocol, ProtocolKind, RxMeta, UserProfile,
 };
 use ia_des::{EventQueue, SimDuration, SimRng, SimTime};
 use ia_geo::{Circle, FlatGrid, Point, UniformGrid, Vector};
@@ -616,9 +618,186 @@ fn bench_sink_dispatch(c: &mut Criterion) {
     });
 }
 
+/// Heap allocations made while `f` runs.
+fn allocations_during(f: impl FnOnce()) -> u64 {
+    let before = ALLOCATIONS.load(Ordering::Relaxed);
+    f();
+    ALLOCATIONS.load(Ordering::Relaxed) - before
+}
+
+/// On the rim of the advertising area the forwarding probability is
+/// about 1/2, so both outcomes of the coin flip are exercised.
+const RIM: Point = Point::new(3500.0, 2500.0);
+
+/// Run one callback of a stationary peer on the rim at `now` seconds,
+/// drain the sink, and return how many broadcasts the callback pushed.
+fn rim_callback(
+    peer: &mut dyn Protocol,
+    now: f64,
+    rng: &mut SimRng,
+    sink: &mut ActionSink,
+    f: impl FnOnce(&mut dyn Protocol, &mut PeerContext<'_>, &mut ActionSink),
+) -> u64 {
+    let mut ctx = PeerContext {
+        now: SimTime::from_secs(now),
+        position: RIM,
+        velocity: Vector::new(0.0, 0.0),
+        rng,
+    };
+    f(peer, &mut ctx, sink);
+    let mut broadcasts = 0;
+    for action in sink.drain() {
+        broadcasts += matches!(action, Action::Broadcast(_)) as u64;
+        black_box(&action);
+    }
+    broadcasts
+}
+
+/// Fire `n` rim callbacks one round apart from `*now`, returning the
+/// broadcasts they pushed and the allocations they made.
+fn every_round(
+    peer: &mut dyn Protocol,
+    now: &mut f64,
+    n: u64,
+    rng: &mut SimRng,
+    sink: &mut ActionSink,
+    f: impl Fn(&mut dyn Protocol, &mut PeerContext<'_>, &mut ActionSink) + Copy,
+) -> (u64, u64) {
+    let round = GossipParams::paper().round_time.as_secs();
+    let mut broadcasts = 0;
+    let allocated = allocations_during(|| {
+        for _ in 0..n {
+            *now += round;
+            broadcasts += rim_callback(peer, *now, rng, sink, f);
+        }
+    });
+    (broadcasts, allocated)
+}
+
+/// The ad-copy budget: a protocol callback allocates exactly once per ad
+/// copy it puts on air (the copy's sketch registers) and nothing else.
+/// Entry timers whose coin flip loses and pure-gossip round refreshes
+/// therefore allocate nothing; `Advertisement::clone` allocates once,
+/// because copies share the topic list and derive the hash family.
+fn bench_ad_copies(c: &mut Criterion) {
+    let params = GossipParams::paper();
+    let ad = |seq: u32| {
+        Advertisement::new(
+            AdId::new(PeerId(7), seq),
+            Point::new(2500.0, 2500.0),
+            SimTime::from_secs(10.0),
+            1000.0,
+            // Long-lived, so thousands of rounds run before it expires.
+            SimDuration::from_secs(1.0e6),
+            vec![1, 4, 9],
+            200,
+            &params,
+        )
+    };
+    let meta = RxMeta {
+        sender_pos: Point::new(3450.0, 2500.0),
+        from: 3,
+        distance: 50.0,
+    };
+    let mut rng = SimRng::from_master(11);
+    let mut sink = ActionSink::new();
+
+    let original = ad(0);
+    let mut copy = None;
+    let allocated = allocations_during(|| copy = Some(original.clone()));
+    assert_eq!(
+        allocated, 1,
+        "Advertisement::clone allocated {allocated} times"
+    );
+    assert_eq!(copy.as_ref(), Some(&original));
+    drop(copy);
+    println!("advertisement_clone: 1 allocation per copy (verified)");
+    c.bench_function("advertisement_clone", |b| {
+        b.iter(|| black_box(&original).clone())
+    });
+
+    // OptGossip entry timers copy the ad only when the coin flip wins,
+    // so allocations == broadcasts exactly.
+    const TIMERS: u64 = 4_000;
+    let mut peer = build_protocol(
+        ProtocolKind::OptGossip,
+        params.clone(),
+        UserProfile::indifferent(1),
+    );
+    let msg = AdMessage::gossip(ad(0));
+    let on_timer = |p: &mut dyn Protocol, ctx: &mut PeerContext<'_>, out: &mut ActionSink| {
+        p.on_entry_timer(ctx, msg.ad.id, out)
+    };
+    rim_callback(peer.as_mut(), 20.0, &mut rng, &mut sink, |p, ctx, out| {
+        p.on_receive(ctx, &msg, &meta, out)
+    });
+    let mut now = 20.0;
+    every_round(peer.as_mut(), &mut now, 16, &mut rng, &mut sink, on_timer);
+    let (broadcasts, allocated) = every_round(
+        peer.as_mut(),
+        &mut now,
+        TIMERS,
+        &mut rng,
+        &mut sink,
+        on_timer,
+    );
+    assert!(
+        0 < broadcasts && broadcasts < TIMERS,
+        "both coin-flip outcomes must occur ({broadcasts}/{TIMERS} won)"
+    );
+    assert_eq!(
+        allocated, broadcasts,
+        "{TIMERS} entry timers pushed {broadcasts} broadcasts but allocated {allocated} times"
+    );
+    println!(
+        "protocol_entry_timer: 0 allocations over {} lost coin flips, 1 per broadcast (verified)",
+        TIMERS - broadcasts
+    );
+
+    // Pure-gossip rounds over a full cache: refreshing every entry's
+    // probability allocates nothing; only the broadcast copies do.
+    const ROUNDS: u64 = 1_000;
+    let mut peer = build_protocol(
+        ProtocolKind::Gossip,
+        params.clone(),
+        UserProfile::indifferent(1),
+    );
+    for seq in 0..params.cache_capacity as u32 {
+        let msg = AdMessage::gossip(ad(seq));
+        rim_callback(peer.as_mut(), 20.0, &mut rng, &mut sink, |p, ctx, out| {
+            p.on_receive(ctx, &msg, &meta, out)
+        });
+    }
+    let on_round = |p: &mut dyn Protocol, ctx: &mut PeerContext<'_>, out: &mut ActionSink| {
+        p.on_round(ctx, out)
+    };
+    let mut now = 20.0;
+    every_round(peer.as_mut(), &mut now, 16, &mut rng, &mut sink, on_round);
+    let (broadcasts, allocated) = every_round(
+        peer.as_mut(),
+        &mut now,
+        ROUNDS,
+        &mut rng,
+        &mut sink,
+        on_round,
+    );
+    assert!(0 < broadcasts && broadcasts < ROUNDS * params.cache_capacity as u64);
+    assert_eq!(
+        allocated, broadcasts,
+        "{ROUNDS} gossip rounds pushed {broadcasts} broadcasts but allocated {allocated} times"
+    );
+    println!(
+        "protocol_gossip_round: 0 allocations beyond the {broadcasts} broadcasts of {ROUNDS} full-cache rounds (verified)"
+    );
+    c.bench_function("protocol_gossip_round_full_cache", |b| {
+        b.iter(|| every_round(peer.as_mut(), &mut now, 1, &mut rng, &mut sink, on_round))
+    });
+}
+
 criterion_group!(
     benches,
     bench_sink_dispatch,
+    bench_ad_copies,
     bench_event_queue,
     bench_queue_churn,
     bench_grid,

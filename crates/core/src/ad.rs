@@ -6,6 +6,7 @@ use crate::prob;
 use ia_des::{SimDuration, SimTime};
 use ia_geo::Point;
 use ia_sketch::FmBundle;
+use std::sync::Arc;
 
 /// Fixed per-message header overhead of the canonical wire encoding:
 /// magic, flags, ad id, issue time/coordinates, initial and current
@@ -13,6 +14,9 @@ use ia_sketch::FmBundle;
 pub const HEADER_BYTES: usize = 67;
 
 /// An instant advertisement as carried on the wire.
+///
+/// A clone costs one heap allocation, the sketch registers: the topic
+/// list never changes after issue, so copies share it.
 ///
 /// `radius`/`duration` start at the issuer's `initial_radius`/
 /// `initial_duration` and may grow through popularity enlargement
@@ -34,8 +38,9 @@ pub struct Advertisement {
     pub radius: f64,
     /// Current (possibly enlarged) duration `D`.
     pub duration: SimDuration,
-    /// Topic keywords (interest ids) this ad advertises, sorted.
-    pub topics: Vec<u32>,
+    /// Topic keywords (interest ids) this ad advertises, sorted and
+    /// deduplicated; shared by every copy of the ad.
+    pub topics: Arc<[u32]>,
     /// Size of the human-readable content, bytes (for traffic accounting;
     /// the content itself is irrelevant to the protocols).
     pub payload_bytes: usize,
@@ -69,7 +74,7 @@ impl Advertisement {
             initial_duration: duration,
             radius,
             duration,
-            topics,
+            topics: topics.into(),
             payload_bytes,
             sketches: FmBundle::new(params.sketch_seed, params.sketch_f, params.sketch_l),
         }
@@ -141,7 +146,7 @@ mod tests {
     #[test]
     fn topics_sorted_and_deduped() {
         let a = ad();
-        assert_eq!(a.topics, vec![1, 3]);
+        assert_eq!(*a.topics, [1, 3]);
         assert!(a.matches_topic(1));
         assert!(a.matches_topic(3));
         assert!(!a.matches_topic(2));

@@ -172,7 +172,7 @@ pub fn encode(msg: &AdMessage) -> Vec<u8> {
     w.f64(ad.radius);
     w.u64(ad.duration.as_micros());
     w.u16(ad.topics.len() as u16);
-    for &t in &ad.topics {
+    for &t in ad.topics.iter() {
         w.u32(t);
     }
     let sketches = ad.sketches.sketches();

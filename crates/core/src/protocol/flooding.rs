@@ -27,7 +27,6 @@ use crate::ids::AdId;
 use crate::interest::UserProfile;
 use crate::params::GossipParams;
 use crate::rank;
-use std::collections::HashMap;
 
 /// Per-issued-ad issuer state.
 #[derive(Debug, Clone)]
@@ -36,16 +35,24 @@ struct Issued {
     next_wave: u32,
 }
 
+/// An ad this peer has received or issued.
+struct Seen {
+    ad: AdId,
+    /// Highest wave relayed (receiver role); `None` before the first relay
+    /// decision and for the peer's own ads.
+    newest_wave: Option<u32>,
+}
+
 /// Restricted Flooding protocol state for one peer.
 pub struct RestrictedFlooding {
     params: GossipParams,
     profile: UserProfile,
     /// Ads this peer issued (it keeps re-broadcasting them).
     issued: Vec<Issued>,
-    /// Highest wave relayed per ad (receiver role).
-    relayed: HashMap<AdId, u32>,
-    /// Ads ever received (for first-receipt detection).
-    received: HashMap<AdId, ()>,
+    /// Ads ever received or issued, in first-seen order. A run carries
+    /// few ads, so a linear scan suffices (as in `AdCache`), and a first
+    /// receipt costs at most one allocation.
+    seen: Vec<Seen>,
     /// Whether the periodic issuer round is currently scheduled.
     round_scheduled: bool,
 }
@@ -57,8 +64,7 @@ impl RestrictedFlooding {
             params,
             profile,
             issued: Vec::new(),
-            relayed: HashMap::new(),
-            received: HashMap::new(),
+            seen: Vec::new(),
             round_scheduled: false,
         }
     }
@@ -93,7 +99,10 @@ impl Protocol for RestrictedFlooding {
     }
 
     fn issue(&mut self, ctx: &mut PeerContext<'_>, ad: Advertisement, out: &mut ActionSink) {
-        self.received.insert(ad.id, ());
+        self.seen.push(Seen {
+            ad: ad.id,
+            newest_wave: None,
+        });
         self.issued.push(Issued { ad, next_wave: 0 });
         let idx = self.issued.len() - 1;
         if let Some(msg) = self.broadcast_wave(idx, ctx.now) {
@@ -137,27 +146,38 @@ impl Protocol for RestrictedFlooding {
         if msg.ad.expired(ctx.now) {
             return;
         }
-        let first_time = self.received.insert(msg.ad.id, ()).is_none();
-        let mut ad = msg.ad.clone();
-        if first_time {
-            // Interest processing on first receipt (Algorithm 5).
-            rank::process_interest(&mut ad, &self.profile, &self.params);
-            out.push(Action::Accepted { ad: ad.id });
-        }
+        let id = msg.ad.id;
+        let (idx, first_time) = match self.seen.iter().position(|s| s.ad == id) {
+            Some(idx) => (idx, false),
+            None => {
+                self.seen.push(Seen {
+                    ad: id,
+                    newest_wave: None,
+                });
+                out.push(Action::Accepted { ad: id });
+                (self.seen.len() - 1, true)
+            }
+        };
         // Relay the wave if it is new to us and we are inside the stamped
         // advertising radius.
-        let newest = self.relayed.get(&ad.id).copied();
-        let wave_is_new = newest.is_none_or(|w| flood.wave > w);
-        let inside = ctx.position.distance(ad.issue_pos) <= flood.radius;
-        if wave_is_new {
-            self.relayed.insert(ad.id, flood.wave);
-            if inside {
-                out.push(Action::Broadcast(AdMessage::flood(
-                    ad,
-                    flood.wave,
-                    flood.radius,
-                )));
+        let seen = &mut self.seen[idx];
+        if seen.newest_wave.is_some_and(|w| flood.wave <= w) {
+            return;
+        }
+        seen.newest_wave = Some(flood.wave);
+        if ctx.position.distance(msg.ad.issue_pos) <= flood.radius {
+            // A relay keeps no copy, so the ad is copied only to relay
+            // it. Interest processing (Algorithm 5) runs on first receipt
+            // and travels with the relayed copy.
+            let mut ad = msg.ad.clone();
+            if first_time {
+                rank::process_interest(&mut ad, &self.profile, &self.params);
             }
+            out.push(Action::Broadcast(AdMessage::flood(
+                ad,
+                flood.wave,
+                flood.radius,
+            )));
         }
     }
 
@@ -166,7 +186,7 @@ impl Protocol for RestrictedFlooding {
     }
 
     fn holds(&self, ad: AdId) -> bool {
-        self.received.contains_key(&ad)
+        self.seen.iter().any(|s| s.ad == ad)
     }
 
     fn cached_ad(&self, ad: AdId) -> Option<&Advertisement> {

@@ -463,7 +463,7 @@ impl World {
             }
             Event::Issue { index } => {
                 let node = self.scenario.issuer_node(index);
-                let spec = self.scenario.ads[index].clone();
+                let spec = &self.scenario.ads[index];
                 let ad = Advertisement::new(
                     self.ad_ids[index],
                     spec.issue_pos,

@@ -4,7 +4,8 @@ use crate::fm::FmSketch;
 use crate::hash::HashFamily;
 use crate::PHI;
 
-/// `F` FM sketches of `L` bits each, plus the shared hash family.
+/// `F` FM sketches of `L` bits each, hashed with the family derived from
+/// `(family_seed, F)`.
 ///
 /// This is the structure piggybacked on every advertisement message; its
 /// wire size is `F * L` bits (the paper's example budget is 256 bits).
@@ -16,7 +17,6 @@ use crate::PHI;
 #[derive(Debug, Clone, PartialEq)]
 pub struct FmBundle {
     sketches: Vec<FmSketch>,
-    family: HashFamily,
     family_seed: u64,
 }
 
@@ -28,7 +28,6 @@ impl FmBundle {
         assert!(f > 0, "need at least one sketch");
         FmBundle {
             sketches: vec![FmSketch::new(l); f],
-            family: HashFamily::new(family_seed, f),
             family_seed,
         }
     }
@@ -62,9 +61,15 @@ impl FmBundle {
     /// Record `item` (e.g. a user id) in every sketch. Duplicate inserts
     /// are no-ops by construction.
     pub fn insert(&mut self, item: u64) {
+        let family = HashFamily::new(self.family_seed, self.sketches.len());
         for (i, s) in self.sketches.iter_mut().enumerate() {
-            s.insert_rho(self.family.rho(i, item));
+            s.insert_rho(family.rho(i, item));
         }
+    }
+
+    /// Same hash family: same seed and same number of functions.
+    fn same_family(&self, other: &FmBundle) -> bool {
+        self.family_seed == other.family_seed && self.sketches.len() == other.sketches.len()
     }
 
     /// Formula 6: the estimated number of distinct items inserted.
@@ -85,8 +90,8 @@ impl FmBundle {
     /// # Panics
     /// Panics if the bundles have different shapes or hash families.
     pub fn merge(&mut self, other: &FmBundle) {
-        assert_eq!(
-            self.family, other.family,
+        assert!(
+            self.same_family(other),
             "merging bundles from different hash families"
         );
         for (a, b) in self.sketches.iter_mut().zip(other.sketches.iter()) {
@@ -98,7 +103,7 @@ impl FmBundle {
     /// uses rank-before vs rank-after to detect "already processed"; this
     /// predicate answers it exactly at the bit level.
     pub fn covers(&self, other: &FmBundle) -> bool {
-        self.family == other.family
+        self.same_family(other)
             && self
                 .sketches
                 .iter()
@@ -144,10 +149,8 @@ impl FmBundle {
             sketches.iter().all(|s| s.len() == l),
             "mixed sketch lengths"
         );
-        let family = HashFamily::new(family_seed, sketches.len());
         FmBundle {
             sketches,
-            family,
             family_seed,
         }
     }

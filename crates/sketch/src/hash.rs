@@ -16,34 +16,43 @@ fn mix(mut z: u64) -> u64 {
 }
 
 /// `F` independent hash functions `u64 -> u64`.
-#[derive(Debug, Clone, PartialEq, Eq)]
+///
+/// The family is fully determined by `(family_seed, f)`, so it is a small
+/// `Copy` value: function `i`'s seed is derived on demand rather than
+/// stored, and building or copying a family never allocates.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct HashFamily {
-    seeds: Vec<u64>,
+    family_seed: u64,
+    f: usize,
 }
 
 impl HashFamily {
     /// Create a family of `f` functions from a family seed.
     pub fn new(family_seed: u64, f: usize) -> Self {
         assert!(f > 0, "empty hash family");
-        let seeds = (0..f as u64)
-            .map(|i| mix(mix(family_seed) ^ mix(i.wrapping_mul(0xA24BAED4963EE407))))
-            .collect();
-        HashFamily { seeds }
+        HashFamily { family_seed, f }
     }
 
     /// Number of functions in the family.
     pub fn len(&self) -> usize {
-        self.seeds.len()
+        self.f
     }
 
     pub fn is_empty(&self) -> bool {
-        self.seeds.is_empty()
+        self.f == 0
+    }
+
+    /// The seed of function `i`.
+    #[inline]
+    fn seed(&self, i: usize) -> u64 {
+        assert!(i < self.f, "hash function {i} out of range");
+        mix(mix(self.family_seed) ^ mix((i as u64).wrapping_mul(0xA24BAED4963EE407)))
     }
 
     /// Apply function `i` to `x`.
     #[inline]
     pub fn hash(&self, i: usize, x: u64) -> u64 {
-        mix(self.seeds[i] ^ mix(x))
+        mix(self.seed(i) ^ mix(x))
     }
 
     /// FM's `rho` statistic for function `i`: the number of trailing zero
@@ -108,6 +117,51 @@ mod tests {
         }
         let avg = total as f64 / 64.0;
         assert!((avg - 32.0).abs() < 6.0, "poor avalanche: {avg}");
+    }
+
+    /// Every bit of the family is pinned: these values were recorded from
+    /// the original implementation, which stored one precomputed seed per
+    /// function. Sketches already on the wire depend on them.
+    #[test]
+    fn hash_and_rho_are_pinned() {
+        #[rustfmt::skip]
+        let table: [(u64, usize, usize, u64, u64, u32); 14] = [
+            (0x0, 1, 0, 0x0, 0xe220a8397b1dcdaf, 0),
+            (0x1, 16, 0, 0x1, 0x2efeb4f055a6abe3, 0),
+            (0x1, 16, 15, 0xdeadbeef, 0x97bc2c075609a239, 0),
+            (0x1ce5eed, 16, 7, 0x2a, 0x717191eaae76dd65, 0),
+            (0x2a, 32, 31, u64::MAX, 0xcbd59b2ca585ea57, 0),
+            (u64::MAX, 4, 3, 0x3039, 0xc705e2706083d89f, 0),
+            (0x7, 255, 254, 0x9e3779b97f4a7c15, 0x37d183414f8650b1, 0),
+            (0x3, 64, 33, 1 << 40, 0x933f7e132492d5ca, 1),
+            (0x1adc0de5eed0, 16, 5, 91, 0x1c671cb28cc55b60, 5),
+            (0x1adc0de5eed0, 16, 5, 100, 0x68d13ce8016c0200, 9),
+            (0x1adc0de5eed0, 16, 5, 105, 0x72f6cc71b4f5af30, 4),
+            (0x1adc0de5eed0, 16, 5, 132, 0xc0d1879e02747270, 4),
+            (0x1adc0de5eed0, 16, 5, 160, 0x2d024acaaecd16a0, 5),
+            (0x1adc0de5eed0, 16, 5, 193, 0x096936a31f575230, 4),
+        ];
+        for (seed, f, i, x, hash, rho) in table {
+            let fam = HashFamily::new(seed, f);
+            assert_eq!(
+                fam.hash(i, x),
+                hash,
+                "hash({seed:#x}, f={f}, i={i}, x={x:#x})"
+            );
+            assert_eq!(fam.rho(i, x), rho, "rho({seed:#x}, f={f}, i={i}, x={x:#x})");
+        }
+        // A fold over every function of the default protocol family
+        // (`GossipParams::sketch_seed`, F = 16) and a thousand user ids.
+        let fam = HashFamily::new(0x1ADC_0DE5_EED0, 16);
+        let (mut fold, mut rho_sum) = (0u64, 0u64);
+        for i in 0..16 {
+            for x in 0..1000u64 {
+                fold = fold.rotate_left(5) ^ fam.hash(i, x);
+                rho_sum += fam.rho(i, x) as u64;
+            }
+        }
+        assert_eq!(fold, 0xc24e1504fe5e268f);
+        assert_eq!(rho_sum, 15902);
     }
 
     #[test]

@@ -97,7 +97,13 @@ fn main() {
                     }
                 };
             }
-            "--peers" => peers = args.value("--peers"),
+            "--peers" => {
+                peers = args.value("--peers");
+                if peers == 0 {
+                    eprintln!("--peers must be at least 1");
+                    usage();
+                }
+            }
             "--field" => field = args.value("--field"),
             "--radius" => radius = args.value("--radius"),
             "--duration" => duration = args.value("--duration"),
