@@ -6,13 +6,14 @@
 //! a duplicate receipt pushed through a warm, reused [`ActionSink`] —
 //! performs zero allocations per event, and `bench_ad_copies` asserts
 //! the ad-copy budget: entry timers and gossip rounds allocate exactly
-//! once per broadcast they push, and an advertisement clone allocates
-//! once. The companion `vec_collect` benchmark measures the old
-//! return-a-`Vec<Action>` shape for comparison.
+//! once per broadcast they push, and an advertisement clone and an
+//! encoded frame allocate once each. The companion `vec_collect`
+//! benchmark measures the old return-a-`Vec<Action>` shape for
+//! comparison.
 
 use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion};
 use ia_core::{
-    build_protocol, postpone, prob, Action, ActionSink, AdId, AdMessage, Advertisement,
+    build_protocol, codec, postpone, prob, Action, ActionSink, AdId, AdMessage, Advertisement,
     GossipParams, PeerContext, PeerId, Protocol, ProtocolKind, RxMeta, UserProfile,
 };
 use ia_des::{EventQueue, SimDuration, SimRng, SimTime};
@@ -20,8 +21,6 @@ use ia_geo::{Circle, FlatGrid, Point, UniformGrid, Vector};
 use ia_mobility::{Fleet, MobilityModel, RandomWaypoint};
 use ia_radio::{BroadcastOutcome, Medium, RadioConfig};
 use std::alloc::{GlobalAlloc, Layout, System};
-use std::cmp::Reverse;
-use std::collections::{BinaryHeap, HashSet};
 use std::sync::atomic::{AtomicU64, Ordering};
 
 /// System allocator wrapper that counts every allocation, so benchmarks
@@ -69,62 +68,12 @@ fn bench_event_queue(c: &mut Criterion) {
     });
 }
 
-/// The pre-wheel `EventQueue` design, ported here so the churn benchmark
-/// can compare against it: a `BinaryHeap` ordered on `(time, seq)` plus a
-/// tombstone set consulted on pop. `cancel` was an O(1) hash insert, but
-/// every cancelled entry still paid two `log n` heap sifts (push + the
-/// eventual tombstone skip) and a hash probe per pop — the cost the
-/// timing wheel's slot invalidation removes.
-struct HeapQueue {
-    heap: BinaryHeap<Reverse<(u64, u64, usize)>>,
-    tombstones: HashSet<u64>,
-    next_seq: u64,
-    /// Last delivered time — cancels below it are already-fired no-ops,
-    /// exactly as the original watermark heuristic treated them.
-    watermark: u64,
-}
-
-impl HeapQueue {
-    fn new() -> Self {
-        HeapQueue {
-            heap: BinaryHeap::new(),
-            tombstones: HashSet::new(),
-            next_seq: 0,
-            watermark: 0,
-        }
-    }
-
-    fn push(&mut self, t: u64, payload: usize) -> u64 {
-        let seq = self.next_seq;
-        self.next_seq += 1;
-        self.heap.push(Reverse((t, seq, payload)));
-        seq
-    }
-
-    fn cancel(&mut self, t: u64, seq: u64) {
-        if t >= self.watermark {
-            self.tombstones.insert(seq);
-        }
-    }
-
-    fn pop(&mut self) -> Option<(u64, usize)> {
-        while let Some(Reverse((t, seq, payload))) = self.heap.pop() {
-            self.watermark = t;
-            if self.tombstones.remove(&seq) {
-                continue;
-            }
-            return Some((t, payload));
-        }
-        None
-    }
-}
-
-/// Cancel-heavy churn modelled on Optimized Gossiping-2 postponement:
-/// every peer keeps one pending broadcast timer, and each arriving copy
-/// cancels it and reschedules it later. The workload is therefore one
-/// cancel + one push per round with a pop every fifth round, then a full
-/// drain — the pattern that made the tombstone heap degrade (dead
-/// entries pile up and every one is heap-sifted twice).
+/// Postponement churn modelled on Optimized Gossiping-2: every peer
+/// keeps one current broadcast timer, and each arriving copy postpones
+/// it by pushing a new timer. Superseded timers stay queued, fire, and
+/// are discarded by the caller, exactly as `Gossip::on_entry_timer`
+/// ignores stale wake-ups. The workload is therefore one push per round
+/// with a pop every fifth round, then a full drain.
 const CHURN_PEERS: usize = 32;
 const CHURN_ROUNDS: usize = 512;
 
@@ -136,118 +85,78 @@ const CHURN_ROUNDS: usize = 512;
 /// which the zero-alloc proof below relies on.
 const CHURN_BLOCK: u64 = 1 << 36;
 
+/// One churn pass from `start`; returns how many popped timers were
+/// still current (not superseded) when they fired.
+fn churn(q: &mut EventQueue<usize>, start: u64) -> u64 {
+    // Payload = timer number * CHURN_PEERS + peer.
+    let mut latest = [0usize; CHURN_PEERS];
+    let mut timers = 0usize;
+    let mut arm = |q: &mut EventQueue<usize>, latest: &mut [usize], peer: usize, t: u64| {
+        let payload = timers * CHURN_PEERS + peer;
+        timers += 1;
+        latest[peer] = payload;
+        q.push(SimTime::from_micros(t), payload);
+    };
+    let mut now = start;
+    for peer in 0..CHURN_PEERS {
+        arm(q, &mut latest, peer, now + 1_000 + 37 * peer as u64);
+    }
+    let mut x: u64 = 0xDEADBEEFCAFE;
+    let mut rand = move || {
+        x ^= x << 13;
+        x ^= x >> 7;
+        x ^= x << 17;
+        x
+    };
+    let mut fired = 0u64;
+    for round in 0..CHURN_ROUNDS {
+        let peer = (rand() % CHURN_PEERS as u64) as usize;
+        arm(q, &mut latest, peer, now + 500 + rand() % 50_000);
+        if round % 5 == 0 {
+            if let Some((t, payload)) = q.pop() {
+                now = t.as_micros();
+                fired += (latest[payload % CHURN_PEERS] == payload) as u64;
+            }
+        }
+    }
+    while let Some((_, payload)) = q.pop() {
+        fired += (latest[payload % CHURN_PEERS] == payload) as u64;
+    }
+    fired
+}
+
 fn bench_queue_churn(c: &mut Criterion) {
-    // Both sides run the identical op sequence from the same PRNG seed.
-    fn churn_wheel(q: &mut EventQueue<usize>, start: u64) -> u64 {
-        let mut timers = [None; CHURN_PEERS];
-        let mut now = start;
-        for (peer, slot) in timers.iter_mut().enumerate() {
-            *slot = Some(q.push(SimTime::from_micros(now + 1_000 + 37 * peer as u64), peer));
-        }
-        let mut x: u64 = 0xDEADBEEFCAFE;
-        let mut rand = move || {
-            x ^= x << 13;
-            x ^= x >> 7;
-            x ^= x << 17;
-            x
-        };
-        let mut delivered = 0u64;
-        for round in 0..CHURN_ROUNDS {
-            let peer = (rand() % CHURN_PEERS as u64) as usize;
-            if let Some(id) = timers[peer].take() {
-                q.cancel(id);
-            }
-            let t2 = now + 500 + rand() % 50_000;
-            timers[peer] = Some(q.push(SimTime::from_micros(t2), peer));
-            if round % 5 == 0 {
-                if let Some((t, _)) = q.pop() {
-                    now = t.as_micros();
-                    delivered += 1;
-                }
-            }
-        }
-        while q.pop().is_some() {
-            delivered += 1;
-        }
-        delivered
-    }
-
-    fn churn_heap(q: &mut HeapQueue, start: u64) -> u64 {
-        let mut timers = [None; CHURN_PEERS];
-        let mut now = start;
-        for (peer, slot) in timers.iter_mut().enumerate() {
-            let t = now + 1_000 + 37 * peer as u64;
-            *slot = Some((q.push(t, peer), t));
-        }
-        let mut x: u64 = 0xDEADBEEFCAFE;
-        let mut rand = move || {
-            x ^= x << 13;
-            x ^= x >> 7;
-            x ^= x << 17;
-            x
-        };
-        let mut delivered = 0u64;
-        for round in 0..CHURN_ROUNDS {
-            let peer = (rand() % CHURN_PEERS as u64) as usize;
-            if let Some((seq, t)) = timers[peer].take() {
-                q.cancel(t, seq);
-            }
-            let t2 = now + 500 + rand() % 50_000;
-            timers[peer] = Some((q.push(t2, peer), t2));
-            if round % 5 == 0 {
-                if let Some((t, _)) = q.pop() {
-                    now = t;
-                    delivered += 1;
-                }
-            }
-        }
-        while q.pop().is_some() {
-            delivered += 1;
-        }
-        delivered
-    }
-
-    // Zero-alloc proof: a warm wheel's schedule/pop/cancel churn must not
-    // touch the allocator. The first passes size the slab arena, the due
-    // batch, and the slot chains; later block-aligned passes are
-    // structurally identical and must recycle every one of them.
+    // Zero-alloc proof: a warm wheel's push/pop churn must not touch the
+    // allocator. The first passes size the slab arena, the due batch,
+    // and the slot chains; later block-aligned passes are structurally
+    // identical and must recycle every one of them.
     let mut q: EventQueue<usize> = EventQueue::new();
     let mut pass = 1u64;
-    let mut warm_delivered = 0;
+    let mut warm_fired = 0;
     for _ in 0..2 {
-        warm_delivered = black_box(churn_wheel(&mut q, pass * CHURN_BLOCK));
+        warm_fired = black_box(churn(&mut q, pass * CHURN_BLOCK));
         pass += 1;
     }
     let before = ALLOCATIONS.load(Ordering::Relaxed);
-    let delivered = churn_wheel(&mut q, pass * CHURN_BLOCK);
+    let fired = churn(&mut q, pass * CHURN_BLOCK);
     pass += 1;
     let allocated = ALLOCATIONS.load(Ordering::Relaxed) - before;
     assert_eq!(
         allocated, 0,
-        "wheel schedule/pop/cancel churn allocated {allocated} times over {CHURN_ROUNDS} rounds"
+        "wheel push/pop churn allocated {allocated} times over {CHURN_ROUNDS} rounds"
     );
-    // Every pass replays the same PRNG sequence, so the delivery count
-    // must be identical pass to pass.
-    assert_eq!(delivered, warm_delivered);
+    // Every pass replays the same PRNG sequence, so the count of current
+    // timers that fire must be identical pass to pass.
+    assert_eq!(fired, warm_fired);
     println!(
-        "des_queue_churn_wheel: 0 allocations over {CHURN_ROUNDS} cancel+reschedule rounds (verified)"
+        "des_queue_churn_wheel: 0 allocations over {CHURN_ROUNDS} postpone rounds, stale timers fired and discarded (verified)"
     );
 
     c.bench_function("des_queue_churn_wheel", |b| {
         b.iter(|| {
-            let delivered = black_box(churn_wheel(&mut q, pass * CHURN_BLOCK));
+            let fired = black_box(churn(&mut q, pass * CHURN_BLOCK));
             pass += 1;
-            delivered
-        })
-    });
-
-    let mut heap = HeapQueue::new();
-    let mut pass = 1u64;
-    c.bench_function("des_queue_churn_heap", |b| {
-        b.iter(|| {
-            let delivered = black_box(churn_heap(&mut heap, pass * CHURN_BLOCK));
-            pass += 1;
-            delivered
+            fired
         })
     });
 }
@@ -715,6 +624,22 @@ fn bench_ad_copies(c: &mut Criterion) {
     c.bench_function("advertisement_clone", |b| {
         b.iter(|| black_box(&original).clone())
     });
+
+    // A checked frame (body + CRC trailer) is written into one buffer
+    // sized up front, so encoding it allocates exactly once.
+    let on_air = AdMessage::gossip(original.clone());
+    black_box(codec::encode_frame(&on_air));
+    let mut frame = Vec::new();
+    let allocated = allocations_during(|| frame = codec::encode_frame(black_box(&on_air)));
+    assert_eq!(
+        allocated, 1,
+        "codec::encode_frame allocated {allocated} times"
+    );
+    assert_eq!(
+        frame.len(),
+        codec::message_encoded_len(&on_air) + codec::FRAME_CRC_BYTES
+    );
+    println!("codec_encode_frame: 1 allocation per frame (verified)");
 
     // OptGossip entry timers copy the ad only when the coin flip wins,
     // so allocations == broadcasts exactly.

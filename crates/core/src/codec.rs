@@ -99,9 +99,6 @@ struct Writer {
 }
 
 impl Writer {
-    fn new() -> Self {
-        Writer { buf: Vec::new() }
-    }
     fn u8(&mut self, v: u8) {
         self.buf.push(v);
     }
@@ -158,8 +155,17 @@ impl<'a> Reader<'a> {
 
 /// Encode a message into bytes.
 pub fn encode(msg: &AdMessage) -> Vec<u8> {
+    encode_with_spare(msg, 0)
+}
+
+/// [`encode`] into a buffer sized up front to the exact body length
+/// plus `spare` bytes, so neither the body nor a trailer of up to
+/// `spare` bytes reallocates it.
+fn encode_with_spare(msg: &AdMessage, spare: usize) -> Vec<u8> {
     let ad = &msg.ad;
-    let mut w = Writer::new();
+    let mut w = Writer {
+        buf: Vec::with_capacity(message_encoded_len(msg) + spare),
+    };
     w.u16(MAGIC);
     w.u8(msg.flood.is_some() as u8);
     w.u32(ad.id.issuer.0);
@@ -309,7 +315,7 @@ pub fn decode(bytes: &[u8]) -> Result<AdMessage, CodecError> {
 /// calibrated airtime/collision thresholds) counts message bodies, the
 /// same way byte counts conventionally exclude the 802.11 FCS.
 pub fn encode_frame(msg: &AdMessage) -> Vec<u8> {
-    let mut buf = encode(msg);
+    let mut buf = encode_with_spare(msg, FRAME_CRC_BYTES);
     let crc = crc32(&buf);
     buf.extend_from_slice(&crc.to_le_bytes());
     buf

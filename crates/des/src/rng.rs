@@ -52,7 +52,7 @@ pub mod stream {
     /// never collide with each other or with per-entity labels.
     pub const FAULT: u64 = 7 << 32;
 
-    /// Sub-labels within the [`FAULT`](self::FAULT) stream. Entity ids
+    /// Sub-labels within the [`FAULT`] stream. Entity ids
     /// (node, wave index) occupy the low 24 bits.
     pub mod fault {
         /// Frame-corruption draws (one world-level stream).

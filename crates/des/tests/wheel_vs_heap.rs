@@ -1,29 +1,22 @@
 //! Wheel-vs-heap equivalence: the timing-wheel `EventQueue` must be
-//! observationally identical to the `BinaryHeap` + tombstone design it
-//! replaced. A reference implementation of the old queue lives in this
-//! file, and proptest drives both side-by-side through random
-//! schedule/cancel/pop interleavings — including deltas spanning every
-//! wheel level and the far-future overflow ring — plus a deterministic
-//! model of the Optimized Gossiping-2 postpone storm (the cancel-heavy
-//! pattern the O(1) invalidation exists for). Every pop and every
-//! `cancel` return value must match exactly.
+//! observationally identical to a stable `BinaryHeap` keyed on
+//! `(time, seq)`. A reference heap lives in this file, and proptest
+//! drives both side-by-side through random push/pop interleavings —
+//! including deltas spanning every wheel level and the far-future
+//! overflow ring — plus a deterministic model of the Optimized
+//! Gossiping-2 postpone storm, where every postponement pushes a new
+//! timer and the superseded ones fire and are discarded by the caller.
+//! Every pop must match exactly.
 
-use ia_des::{EventId, EventQueue, SimTime};
+use ia_des::{EventQueue, SimTime};
 use proptest::prelude::*;
 use std::cmp::Reverse;
-use std::collections::{BinaryHeap, HashSet};
+use std::collections::BinaryHeap;
 
-/// The pre-wheel queue: stable `(time, seq)` heap keys with a tombstone
-/// set, plus an explicit live-id set standing in for the old watermark
-/// heuristic. (The heap's watermark could misreport a cancel as "already
-/// fired" after pushing below a skipped tombstone's key — a corner its
-/// own docs called unsupported; the wheel's generation check gets it
-/// right, so the reference models the ideal contract: `cancel` is `true`
-/// exactly when the event is genuinely pending.)
+/// The reference queue: a min-heap on `(time, seq)`, where `seq` is the
+/// push order, so equal times pop first-in first-out.
 struct RefQueue<E> {
     heap: BinaryHeap<Reverse<(u64, u64, ValueCell<E>)>>,
-    live: HashSet<u64>,
-    cancelled: HashSet<u64>,
     next_seq: u64,
 }
 
@@ -51,39 +44,51 @@ impl<E> RefQueue<E> {
     fn new() -> Self {
         RefQueue {
             heap: BinaryHeap::new(),
-            live: HashSet::new(),
-            cancelled: HashSet::new(),
             next_seq: 0,
         }
     }
 
-    /// Returns this push's sequence number as the cancellation handle.
-    fn push(&mut self, t: u64, event: E) -> u64 {
+    fn push(&mut self, t: u64, event: E) {
         let seq = self.next_seq;
         self.next_seq += 1;
-        self.live.insert(seq);
         self.heap.push(Reverse((t, seq, ValueCell(event))));
-        seq
-    }
-
-    fn cancel(&mut self, seq: u64) -> bool {
-        if self.live.remove(&seq) {
-            self.cancelled.insert(seq);
-            true
-        } else {
-            false
-        }
     }
 
     fn pop(&mut self) -> Option<(u64, E)> {
-        while let Some(Reverse((t, seq, cell))) = self.heap.pop() {
-            if self.cancelled.remove(&seq) {
-                continue;
-            }
-            self.live.remove(&seq);
-            return Some((t, cell.0));
+        self.heap.pop().map(|Reverse((t, _, cell))| (t, cell.0))
+    }
+}
+
+/// Both queues side by side: every push goes to both, every pop must
+/// agree bitwise.
+struct Pair {
+    wheel: EventQueue<usize>,
+    heap: RefQueue<usize>,
+}
+
+impl Pair {
+    fn new() -> Self {
+        Pair {
+            wheel: EventQueue::new(),
+            heap: RefQueue::new(),
         }
-        None
+    }
+
+    fn push(&mut self, t: u64, payload: usize) {
+        self.wheel.push(SimTime::from_micros(t), payload);
+        self.heap.push(t, payload);
+    }
+
+    fn pop(&mut self) -> Option<(u64, usize)> {
+        let got = self.wheel.pop().map(|(t, p)| (t.as_micros(), p));
+        let want = self.heap.pop();
+        assert_eq!(got, want, "wheel and heap pops diverged");
+        got
+    }
+
+    /// Pop both queues dry; the full remaining order must agree.
+    fn drain(&mut self) {
+        while self.pop().is_some() {}
     }
 }
 
@@ -91,8 +96,6 @@ impl<E> RefQueue<E> {
 enum Op {
     /// Schedule at `last popped time + delta` with the next payload id.
     Push(u64),
-    /// Cancel the `i % issued`-th handle ever issued (may be long dead).
-    Cancel(usize),
     Pop,
 }
 
@@ -108,62 +111,10 @@ fn op_strategy() -> impl Strategy<Value = Op> {
         (0u64..100_000).prop_map(Op::Push),
         (0u64..4_000_000_000).prop_map(Op::Push),
         (1u64 << 47..1 << 52).prop_map(Op::Push),
-        any::<usize>().prop_map(Op::Cancel),
-        any::<usize>().prop_map(Op::Cancel),
         Just(Op::Pop),
         Just(Op::Pop),
         Just(Op::Pop),
     ]
-}
-
-/// Run one op sequence through both queues, asserting identical
-/// observable behaviour at every step.
-fn drive(ops: &[Op]) {
-    let mut wheel: EventQueue<usize> = EventQueue::new();
-    let mut heap: RefQueue<usize> = RefQueue::new();
-    // (wheel handle, time, ref seq) per issued id, for cancels.
-    let mut issued: Vec<(EventId, u64, u64)> = Vec::new();
-    let mut now = 0u64;
-    let mut payload = 0usize;
-
-    for op in ops {
-        match op {
-            Op::Push(delta) => {
-                let t = now.saturating_add(*delta);
-                let id = wheel.push(SimTime::from_micros(t), payload);
-                let seq = heap.push(t, payload);
-                issued.push((id, t, seq));
-                payload += 1;
-            }
-            Op::Cancel(i) => {
-                if issued.is_empty() {
-                    continue;
-                }
-                let (id, _t, seq) = issued[i % issued.len()];
-                let got = wheel.cancel(id);
-                let want = heap.cancel(seq);
-                prop_assert_eq!(got, want, "cancel of seq {} diverged; ops={:?}", seq, ops);
-            }
-            Op::Pop => {
-                let got = wheel.pop();
-                let want = heap.pop();
-                let got = got.map(|(t, p)| (t.as_micros(), p));
-                prop_assert_eq!(got, want, "pop diverged at now={}", now);
-                if let Some((t, _)) = got {
-                    now = t;
-                }
-            }
-        }
-    }
-    // Drain both to the end: full pop order must agree.
-    loop {
-        let got = wheel.pop().map(|(t, p)| (t.as_micros(), p));
-        let want = heap.pop();
-        prop_assert_eq!(got, want, "drain diverged");
-        if got.is_none() {
-            break;
-        }
-    }
 }
 
 proptest! {
@@ -171,26 +122,46 @@ proptest! {
 
     #[test]
     fn wheel_matches_heap(ops in proptest::collection::vec(op_strategy(), 1..200)) {
-        drive(&ops);
+        let mut q = Pair::new();
+        let mut now = 0u64;
+        for (payload, op) in ops.iter().enumerate() {
+            match op {
+                Op::Push(delta) => q.push(now.saturating_add(*delta), payload),
+                Op::Pop => {
+                    if let Some((t, _)) = q.pop() {
+                        now = t;
+                    }
+                }
+            }
+        }
+        q.drain();
     }
 }
 
-/// The Optimized Gossiping-2 pattern: each received copy cancels the
-/// pending broadcast timer and reschedules it later, so one delivery can
-/// produce dozens of cancel+push pairs. Model 32 peers postponing across
-/// interleaved pops and check the final delivery order agrees.
+/// The Optimized Gossiping-2 pattern: each overheard copy postpones a
+/// peer's rebroadcast by pushing a new timer; the superseded timers stay
+/// queued, fire, and are discarded by the caller, which remembers only
+/// each peer's latest timer. Model 32 peers postponing across
+/// interleaved pops. Every 64th postponement is pushed `64^k` µs further
+/// out (k cycling through 0..=8), so the storm crosses every wheel level
+/// and the overflow ring.
 #[test]
 fn postpone_storm_matches_heap() {
-    let mut wheel: EventQueue<usize> = EventQueue::new();
-    let mut heap: RefQueue<usize> = RefQueue::new();
-    let mut timers: Vec<(EventId, u64, u64)> = Vec::new(); // per peer
+    const PEERS: usize = 32;
+    let mut q = Pair::new();
+    // Payload = timer number * PEERS + peer; `latest[peer]` is the
+    // payload of the peer's current timer.
+    let mut latest = [0usize; PEERS];
+    let mut timers = 0usize;
+    let mut arm = |q: &mut Pair, latest: &mut [usize; PEERS], peer: usize, t: u64| {
+        let payload = timers * PEERS + peer;
+        timers += 1;
+        latest[peer] = payload;
+        q.push(t, payload);
+    };
 
-    // Every peer arms an initial timer.
-    for peer in 0..32usize {
-        let t = 1_000 + 37 * peer as u64;
-        let id = wheel.push(SimTime::from_micros(t), peer);
-        let seq = heap.push(t, peer);
-        timers.push((id, t, seq));
+    for peer in 0..PEERS {
+        arm(&mut q, &mut latest, peer, 1_000 + 37 * peer as u64);
     }
 
     let mut x: u64 = 0xDEADBEEFCAFE;
@@ -201,35 +172,37 @@ fn postpone_storm_matches_heap() {
         x
     };
 
+    let (mut fired, mut stale) = (0u64, 0u64);
+    let mut on_pop = |latest: &[usize; PEERS], payload: usize| {
+        if latest[payload % PEERS] == payload {
+            fired += 1;
+        } else {
+            stale += 1;
+        }
+    };
     let mut now = 0u64;
-    for round in 0..2_000 {
-        // A "copy arrives" at a pseudo-random peer: postpone its timer.
-        let peer = (rand() % 32) as usize;
-        let (id, _t, seq) = timers[peer];
-        let a = wheel.cancel(id);
-        let b = heap.cancel(seq);
-        assert_eq!(a, b, "postpone cancel diverged for peer {peer}");
-        let t2 = now + 500 + rand() % 50_000;
-        let id2 = wheel.push(SimTime::from_micros(t2), peer);
-        let seq2 = heap.push(t2, peer);
-        timers[peer] = (id2, t2, seq2);
+    for round in 0..2_000u64 {
+        // A copy is overheard at a pseudo-random peer: postpone it.
+        let peer = (rand() % PEERS as u64) as usize;
+        let mut delay = 500 + rand() % 50_000;
+        if round % 64 == 63 {
+            delay += 64u64.pow((round / 64 % 9) as u32);
+        }
+        arm(&mut q, &mut latest, peer, now + delay);
 
         // Occasionally let time advance.
         if round % 5 == 0 {
-            let got = wheel.pop().map(|(t, p)| (t.as_micros(), p));
-            let want = heap.pop();
-            assert_eq!(got, want, "pop diverged in round {round}");
-            if let Some((t, _)) = got {
+            if let Some((t, payload)) = q.pop() {
                 now = t;
+                on_pop(&latest, payload);
             }
         }
     }
-    loop {
-        let got = wheel.pop().map(|(t, p)| (t.as_micros(), p));
-        let want = heap.pop();
-        assert_eq!(got, want, "drain diverged");
-        if got.is_none() {
-            break;
-        }
+    while let Some((_, payload)) = q.pop() {
+        on_pop(&latest, payload);
     }
+    assert!(q.wheel.is_empty());
+    assert_eq!(fired + stale, PEERS as u64 + 2_000);
+    assert!(stale > 1_000, "most timers are superseded ({stale} stale)");
+    assert!(fired >= PEERS as u64, "every peer's last timer fires");
 }

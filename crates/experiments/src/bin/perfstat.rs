@@ -7,7 +7,7 @@
 //! regression gate against a checked-in baseline. Reports carry a
 //! `meta` provenance block (rustc version, CPU model, git commit) so
 //! checked-in baselines are auditable, per-preset operation counters
-//! (queue pushes/pops/cancels/cascades, grid rebuilds/queries — all
+//! (queue pushes/pops/cascades, grid rebuilds/queries — all
 //! deterministic), and a wall-clock phase breakdown (queue / grid /
 //! protocol / observer nanoseconds) collected from one extra
 //! instrumented run per preset so the headline timings stay clean.
@@ -206,11 +206,10 @@ fn measure(name: &'static str, scenario: &Scenario, runs: usize) -> Measurement 
         m.ns_per_event()
     );
     println!(
-        "{:<22} queue {}/{}/{} push/pop/cancel ({} cascades)  grid {}/{} rebuilds/queries  phases q/g/p/o {}/{}/{}/{} ms",
+        "{:<22} queue {}/{} push/pop ({} cascades)  grid {}/{} rebuilds/queries  phases q/g/p/o {}/{}/{}/{} ms",
         "",
         m.queue.pushes,
         m.queue.pops,
-        m.queue.cancels,
         m.queue.cascades,
         m.grid_rebuilds,
         m.grid_queries,
@@ -297,7 +296,7 @@ fn render_json(measurements: &[Measurement], quick: bool, reference: Option<&str
         // counter and phase fields after them are invisible to the gates.
         out.push_str(&format!(
             "    \"{}\": {{\"events\": {}, \"wall_s\": {:.6}, \"events_per_sec\": {:.1}, \"ns_per_event\": {:.2}, \
-             \"queue_pushes\": {}, \"queue_pops\": {}, \"queue_cancels\": {}, \"queue_cascades\": {}, \
+             \"queue_pushes\": {}, \"queue_pops\": {}, \"queue_cascades\": {}, \
              \"grid_rebuilds\": {}, \"grid_queries\": {}, \
              \"queue_ns\": {}, \"grid_ns\": {}, \"protocol_ns\": {}, \"observer_ns\": {}}}{}\n",
             json_escape_free(m.name),
@@ -307,7 +306,6 @@ fn render_json(measurements: &[Measurement], quick: bool, reference: Option<&str
             m.ns_per_event(),
             m.queue.pushes,
             m.queue.pops,
-            m.queue.cancels,
             m.queue.cascades,
             m.grid_rebuilds,
             m.grid_queries,

@@ -24,7 +24,6 @@
 //! any returned value.
 
 pub mod cursor;
-pub mod density;
 pub mod fleet;
 pub mod manhattan;
 pub mod model;
@@ -35,7 +34,6 @@ pub mod stationary;
 pub mod trajectory;
 
 pub use cursor::FleetCursor;
-pub use density::DensityMap;
 pub use fleet::Fleet;
 pub use manhattan::Manhattan;
 pub use model::MobilityModel;

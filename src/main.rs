@@ -105,8 +105,22 @@ fn main() {
                 }
             }
             "--field" => field = args.value("--field"),
-            "--radius" => radius = args.value("--radius"),
-            "--duration" => duration = args.value("--duration"),
+            "--radius" => {
+                radius = args.value("--radius");
+                if !(radius.is_finite() && radius > 0.0) {
+                    eprintln!("--radius must be a finite number of metres above 0");
+                    usage();
+                }
+            }
+            "--duration" => {
+                duration = args.value("--duration");
+                // The clock counts whole microseconds: this also rejects
+                // negative, non-finite and sub-microsecond values.
+                if SimDuration::from_secs(duration).is_zero() {
+                    eprintln!("--duration must be a finite number of seconds above 0");
+                    usage();
+                }
+            }
             "--speed" => speed = args.value("--speed"),
             "--alpha" => alpha = args.value("--alpha"),
             "--beta" => beta = args.value("--beta"),

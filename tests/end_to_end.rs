@@ -121,13 +121,32 @@ fn messages_scale_linearly_with_population_for_gossip() {
 
 #[test]
 fn cli_rejects_zero_peers_with_usage_and_exit_code_two() {
-    let out = std::process::Command::new(env!("CARGO_BIN_EXE_instant-ads"))
-        .args(["--peers", "0"])
-        .output()
-        .expect("run the instant-ads binary");
-    let stderr = String::from_utf8_lossy(&out.stderr);
-    assert_eq!(out.status.code(), Some(2), "stderr: {stderr}");
-    assert!(stderr.contains("--peers must be at least 1"), "{stderr}");
-    assert!(stderr.contains("instant-ads: run a custom"), "{stderr}");
-    assert!(out.stdout.is_empty(), "nothing runs before the usage exit");
+    // Degenerate values of every checked flag: each must print its
+    // reason plus usage and exit 2 before anything runs.
+    let cases = [
+        ("--peers", "0", "--peers must be at least 1"),
+        ("--duration", "0", "--duration must be"),
+        ("--duration", "-5", "--duration must be"),
+        ("--duration", "inf", "--duration must be"),
+        ("--radius", "0", "--radius must be"),
+        ("--radius", "-1", "--radius must be"),
+        ("--radius", "NaN", "--radius must be"),
+    ];
+    for (flag, value, reason) in cases {
+        let out = std::process::Command::new(env!("CARGO_BIN_EXE_instant-ads"))
+            .args([flag, value])
+            .output()
+            .expect("run the instant-ads binary");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "{flag} {value}: {stderr}");
+        assert!(stderr.contains(reason), "{flag} {value}: {stderr}");
+        assert!(
+            stderr.contains("instant-ads: run a custom"),
+            "{flag} {value}: {stderr}"
+        );
+        assert!(
+            out.stdout.is_empty(),
+            "{flag} {value}: nothing runs before the usage exit"
+        );
+    }
 }
